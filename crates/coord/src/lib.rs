@@ -9,16 +9,24 @@
 //!
 //! The fleet replicates the *edge list* and partitions the *candidate
 //! work*: every shard loads the full graph, but shard `i` of `n`
-//! (started with `rkr serve --shard-id i --shard-count n`) refines and
-//! returns only the query candidates the consistent-hash map
+//! (started with `rkr serve --shard-id i --shard-count n`) returns only
+//! the query candidates the consistent-hash map
 //! ([`rkranks_graph::ShardMap`]) assigns to it. Replicating the edges
 //! costs memory but buys exactness — every owned candidate's rank is
 //! computed against the whole graph, so per-shard answers are exact over
 //! disjoint candidate slices and the coordinator's merge (concatenate,
 //! sort by `(rank, node)`, truncate to `k`) reproduces the single-box
 //! answer rank-for-rank. What sharding scales is the expensive part of a
-//! reverse k-ranks query: the per-candidate bounded Dijkstra refinements,
-//! divided `n` ways.
+//! reverse k-ranks query: the per-candidate bounded Dijkstra refinements.
+//! A shard still refines a candidate it does not own when a node below
+//! it in the SDS tree needs its rank as a bound, so the paper's subtree
+//! pruning (Theorem 1) keeps working across ownership boundaries and the
+//! fleet's total refinement work stays a small multiple of one box's.
+//!
+//! The request path waits on readiness only: a connection handler blocks
+//! until its client's bytes arrive, the accept loop blocks in `accept`
+//! (a shutdown wakes it with a self-connection), and the fan-out reads
+//! shard replies in arrival order.
 //!
 //! ## Consistency
 //!
@@ -71,9 +79,10 @@
 
 pub mod metrics;
 pub mod pool;
+mod ready;
 
 use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -124,6 +133,20 @@ struct CoordShared {
     /// in [`ShardPool::scatter_query`] is a fallback, not the norm.
     write_gate: RwLock<()>,
     shutdown: AtomicBool,
+    /// Where a self-connection reaches the listener, waking a blocked
+    /// `accept` once `shutdown` is set.
+    wake_addr: SocketAddr,
+}
+
+impl CoordShared {
+    /// Set the shutdown flag and wake the accept loop. Connection
+    /// handlers notice the flag within one [`IDLE_TICK`].
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop checks the flag before serving what it
+        // accepted, so this connection is simply dropped.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
 }
 
 /// A running coordinator's handle: its bound address and the accept
@@ -148,7 +171,7 @@ impl CoordHandle {
     /// Ask the coordinator to stop without a protocol `shutdown` (used
     /// by tests and signal handlers); pair with [`CoordHandle::join`].
     pub fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop();
     }
 
     /// Wait for the accept loop (and every handler it spawned) to exit.
@@ -161,7 +184,7 @@ impl CoordHandle {
 pub fn spawn_coord(addr: impl ToSocketAddrs, config: CoordConfig) -> io::Result<CoordHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let shared = Arc::new(new_shared(config)?);
+    let shared = Arc::new(new_shared(config, &listener)?);
     let accept_shared = Arc::clone(&shared);
     let thread = std::thread::Builder::new()
         .name("coord-accept".into())
@@ -176,12 +199,12 @@ pub fn spawn_coord(addr: impl ToSocketAddrs, config: CoordConfig) -> io::Result<
 /// Run the coordinator on the calling thread until a client sends
 /// `shutdown`. The CLI path (`rkr coord`).
 pub fn serve_coord(listener: TcpListener, config: CoordConfig) -> io::Result<()> {
-    let shared = Arc::new(new_shared(config)?);
+    let shared = Arc::new(new_shared(config, &listener)?);
     accept_loop(listener, shared);
     Ok(())
 }
 
-fn new_shared(config: CoordConfig) -> io::Result<CoordShared> {
+fn new_shared(config: CoordConfig, listener: &TcpListener) -> io::Result<CoordShared> {
     if config.shards.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -194,21 +217,36 @@ fn new_shared(config: CoordConfig) -> io::Result<CoordShared> {
         metrics,
         write_gate: RwLock::new(()),
         shutdown: AtomicBool::new(false),
+        wake_addr: wake_addr(listener.local_addr()?),
     })
 }
 
-/// How often parked loops (accept, idle connections) re-check the
-/// shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(25);
+/// The address a local connection reaches `bound` at: a wildcard bind
+/// (`0.0.0.0` / `::`) is reached through loopback.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
+}
+
+/// How often an idle connection handler re-checks the shutdown flag.
+/// Only idle waits use it: a request is served as soon as its bytes
+/// arrive, and the accept loop blocks until a connection (or the
+/// shutdown wake-up) arrives.
+const IDLE_TICK: Duration = Duration::from_millis(25);
 
 fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>) {
-    listener
-        .set_nonblocking(true)
-        .expect("cannot make the listener non-blocking");
     let mut handlers = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for conn in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match conn {
+            Ok(stream) => {
                 let conn_shared = Arc::clone(&shared);
                 if let Ok(h) = std::thread::Builder::new()
                     .name("coord-conn".into())
@@ -217,8 +255,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>) {
                     handlers.push(h);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
-            Err(_) => std::thread::sleep(POLL_TICK),
+            // Out of descriptors or similar: back off instead of spinning.
+            Err(_) => std::thread::sleep(IDLE_TICK),
         }
         handlers.retain(|h| !h.is_finished());
     }
@@ -227,29 +265,47 @@ fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>) {
     }
 }
 
-/// Serve one frontside connection: a blocking stream with a short read
-/// timeout driven through the shard daemon's own [`Conn`] framing layer
-/// (in-place line extraction, bounded lines, buffered writes), so the
-/// coordinator and the shards reject oversize input and frame replies
-/// identically.
+/// Serve one frontside connection through the shard daemon's own
+/// [`Conn`] framing layer (in-place line extraction, bounded lines,
+/// buffered writes), so the coordinator and the shards reject oversize
+/// input and frame replies identically.
+///
+/// The request path waits only on readiness: the handler blocks in
+/// `peek` until bytes arrive (re-checking the shutdown flag every
+/// [`IDLE_TICK`] while idle), drains them with the socket non-blocking,
+/// serves every complete line, then flushes the replies with the socket
+/// blocking again.
 fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
     let max_line = shared.config.max_line_bytes;
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() || stream.set_nodelay(true).is_err() {
+    if stream.set_read_timeout(Some(IDLE_TICK)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     shared.metrics.connections_open.add(1);
     let mut conn = Conn::new(stream);
     let mut pool = ShardPool::new(&shared.config, Arc::clone(&shared.metrics));
-    'serve: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+    'serve: while !shared.shutdown.load(Ordering::SeqCst) {
+        // Block until bytes (or EOF) arrive, without consuming them. A
+        // timed-out wait surfaces as `WouldBlock` on Unix but as
+        // `TimedOut` on some platforms; both mean "idle this tick".
+        match conn.stream.peek(&mut [0u8; 1]) {
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(_) => break,
+        }
+        if conn.stream.set_nonblocking(true).is_err() {
             break;
         }
-        // A timed-out blocking read surfaces as `WouldBlock` on Unix
-        // (which `fill` absorbs) but as `TimedOut` on some platforms —
-        // both mean "nothing arrived this tick", not a dead peer.
         let fill = match conn.fill(max_line) {
             Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => Fill::Idle,
             Err(_) => break,
         };
         loop {
@@ -260,6 +316,7 @@ fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
                         &mut conn,
                         &Reply::Error(format!("bad request: line exceeds {max_line} bytes")),
                     );
+                    conn.send_final(&[]);
                     break 'serve;
                 }
                 LineStatus::Line(bytes) => {
@@ -276,7 +333,7 @@ fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
             let Some(result) = parsed else { continue };
             let reply = match result {
                 Ok(Request::Shutdown) => {
-                    shared.shutdown.store(true, Ordering::SeqCst);
+                    shared.stop();
                     let mut line = Reply::Shutdown.to_json().render();
                     line.push('\n');
                     conn.send_final(line.as_bytes());
@@ -290,7 +347,12 @@ fn handle_conn(stream: TcpStream, shared: Arc<CoordShared>) {
             }
         }
         conn.compact();
-        if conn.try_flush().is_err() || fill == Fill::Eof {
+        // Replies queued while the socket was non-blocking go out with
+        // blocking writes, as before.
+        if conn.stream.set_nonblocking(false).is_err()
+            || conn.try_flush().is_err()
+            || fill == Fill::Eof
+        {
             break;
         }
     }

@@ -40,9 +40,9 @@ pub struct CoordMetrics {
     /// Transport failures per shard, indexed by shard position.
     pub shard_errors: Vec<Arc<Counter>>,
     /// Send-to-reply latency per shard, indexed by shard position.
-    /// Replies are collected in shard order, so a later shard's reading
-    /// includes time spent draining earlier ones — it is the observed
-    /// straggler profile of the pipelined fan-out, not isolated RPC time.
+    /// Replies are gathered in arrival order and each timer stops when
+    /// that shard's own reply line is read, so a reading never includes
+    /// time spent waiting on another shard.
     pub shard_seconds: Vec<Arc<Histogram>>,
 
     /// Shards observed per fan-out round (drops below the fleet size
@@ -81,7 +81,7 @@ impl CoordMetrics {
                 r.histogram_with(
                     "rkrd_coord_shard_seconds",
                     &[("shard", &i.to_string())],
-                    "send-to-reply latency per shard in the pipelined fan-out",
+                    "send-to-reply latency per shard, stopped at its reply's arrival",
                     ns,
                 )
             })

@@ -4,11 +4,14 @@
 //!
 //! ## Why the merge is exact
 //!
-//! Every shard serves the *full* replicated graph but refines and
-//! returns only the candidates it owns under the consistent-hash map
-//! ([`rkranks_graph::ShardMap`]). Ownership partitions the candidate
-//! set, and each owned candidate's rank is computed against the whole
-//! graph — so per-shard answers are exact over disjoint slices, and the
+//! Every shard serves the *full* replicated graph but returns only the
+//! candidates it owns under the consistent-hash map
+//! ([`rkranks_graph::ShardMap`]). A shard may also refine a candidate it
+//! does not own, but only to learn a rank that bounds (and prunes) that
+//! candidate's SDS subtree; such a node never enters the shard's answer.
+//! Ownership partitions the returned candidates, and each owned
+//! candidate's rank is computed against the whole graph — so per-shard
+//! answers are exact over disjoint slices, and the
 //! global top-k rank multiset is contained in the union of the per-shard
 //! top-k sets. Concatenating the per-shard entries, sorting by
 //! `(rank, node)`, and truncating to `k` therefore reproduces the
@@ -33,6 +36,7 @@ use std::time::{Duration, Instant};
 use rkranks_server::{Client, ConnectPolicy, QueryReply, Reply, Request};
 
 use crate::metrics::CoordMetrics;
+use crate::ready;
 use crate::CoordConfig;
 
 /// How many epoch-realignment rounds a query tolerates before giving up.
@@ -59,14 +63,6 @@ pub struct ShardPool {
     /// handshakes must match it.
     seed: Option<u64>,
     metrics: Arc<CoordMetrics>,
-}
-
-/// One shard's slot in a fan-out round.
-enum Slot {
-    /// Request written; a reply is owed.
-    Sent(Instant),
-    /// Connecting or writing failed before a reply was owed.
-    Failed(ShardError),
 }
 
 /// Why a shard slot failed: transient transport trouble is redialed and
@@ -188,60 +184,115 @@ impl ShardPool {
         self.shards[i].client = None;
     }
 
+    /// Drop shard `i`'s connection after a transport failure and count it.
+    fn fail(&mut self, i: usize) {
+        self.disconnect(i);
+        if let Some(c) = self.metrics.shard_errors.get(i) {
+            c.inc();
+        }
+    }
+
     /// One pipelined fan-out round: write `req` to every shard in `idxs`,
-    /// then collect the replies in order. A shard that fails at either
-    /// phase gets its connection dropped (the next round redials) and an
-    /// `Err` slot; the round itself never fails.
+    /// then gather the replies in arrival order. Each shard's latency
+    /// timer runs from its send until its own reply line is read, so a
+    /// slow shard never inflates another's reading. A shard that fails at
+    /// either phase, or owes a reply past the reply timeout, gets its
+    /// connection dropped (the next round redials) and an `Err` slot; the
+    /// round itself never fails.
     fn fan_out(&mut self, idxs: &[usize], req: &Request) -> Vec<Result<Reply, ShardError>> {
         self.metrics.fanouts.inc();
         self.metrics.fanout_width.record(idxs.len() as u64);
-        let mut slots: Vec<Slot> = Vec::with_capacity(idxs.len());
-        for &i in idxs {
+        let mut out: Vec<Option<Result<Reply, ShardError>>> = Vec::with_capacity(idxs.len());
+        // (shard, position in `out`, send time) of every slot owing a reply.
+        let mut owed: Vec<(usize, usize, Instant)> = Vec::with_capacity(idxs.len());
+        for (slot, &i) in idxs.iter().enumerate() {
             let sent = self.ensure(i).and_then(|c| {
                 c.send(req)
                     .map_err(|e| ShardError::Transient(e.to_string()))
             });
             match sent {
-                Ok(()) => slots.push(Slot::Sent(Instant::now())),
+                Ok(()) => {
+                    owed.push((i, slot, Instant::now()));
+                    out.push(None);
+                }
                 Err(e) => {
-                    self.disconnect(i);
-                    if let Some(c) = self.metrics.shard_errors.get(i) {
-                        c.inc();
-                    }
-                    slots.push(Slot::Failed(e));
+                    self.fail(i);
+                    out.push(Some(Err(e)));
                 }
             }
         }
-        idxs.iter()
-            .zip(slots)
-            .map(|(&i, slot)| match slot {
-                Slot::Failed(e) => Err(e),
-                Slot::Sent(start) => {
-                    let got = self.shards[i]
-                        .client
-                        .as_mut()
-                        .expect("sent on a live connection")
-                        .recv();
+        let deadline = Instant::now() + self.reply_timeout;
+        while !owed.is_empty() {
+            let ready = self.ready_replies(&owed, deadline);
+            if ready.is_empty() {
+                // Timed out: every shard still owing a reply is dead for
+                // this round.
+                for (i, slot, start) in owed.drain(..) {
                     self.metrics.record_shard(i, start.elapsed());
-                    match got {
-                        Ok(reply) => Ok(reply),
-                        // The shard is healthy and *answered* with an
-                        // error — that is a reply, not a dead peer.
-                        Err(rkranks_server::ClientError::Server(msg)) => Ok(Reply::Error(msg)),
-                        Err(e) => {
-                            self.disconnect(i);
-                            if let Some(c) = self.metrics.shard_errors.get(i) {
-                                c.inc();
-                            }
-                            Err(ShardError::Transient(format!(
-                                "shard {i} ({}): {e}",
-                                self.shards[i].addr
-                            )))
-                        }
-                    }
+                    self.fail(i);
+                    out[slot] = Some(Err(ShardError::Transient(format!(
+                        "shard {i} ({}): no reply within {:?}",
+                        self.shards[i].addr, self.reply_timeout
+                    ))));
                 }
-            })
+                break;
+            }
+            // Positions ascend, so removing from the back keeps the rest valid.
+            for &pos in ready.iter().rev() {
+                let (i, slot, start) = owed.remove(pos);
+                out[slot] = Some(self.receive(i, start));
+            }
+        }
+        out.into_iter()
+            .map(|r| r.expect("every fan-out slot resolves"))
             .collect()
+    }
+
+    /// Positions in `owed` whose reply can be read now, waiting (until
+    /// `deadline`) for the first to arrive. Bytes already buffered in a
+    /// client count as ready without a wait.
+    fn ready_replies(&self, owed: &[(usize, usize, Instant)], deadline: Instant) -> Vec<usize> {
+        let client = |i: usize| {
+            self.shards[i]
+                .client
+                .as_ref()
+                .expect("a reply is owed on a live connection")
+        };
+        let buffered: Vec<usize> = (0..owed.len())
+            .filter(|&p| client(owed[p].0).has_buffered())
+            .collect();
+        if !buffered.is_empty() {
+            return buffered;
+        }
+        let socks: Vec<&std::net::TcpStream> =
+            owed.iter().map(|&(i, _, _)| client(i).socket()).collect();
+        let left = deadline.saturating_duration_since(Instant::now());
+        // A failed wait falls back to in-order reads, each still bounded
+        // by the socket's read timeout.
+        ready::wait_readable(&socks, left).unwrap_or_else(|_| (0..owed.len()).collect())
+    }
+
+    /// Read shard `i`'s reply and record its latency since `start`.
+    fn receive(&mut self, i: usize, start: Instant) -> Result<Reply, ShardError> {
+        let got = self.shards[i]
+            .client
+            .as_mut()
+            .expect("a reply is owed on a live connection")
+            .recv();
+        self.metrics.record_shard(i, start.elapsed());
+        match got {
+            Ok(reply) => Ok(reply),
+            // The shard is healthy and *answered* with an error — that is
+            // a reply, not a dead peer.
+            Err(rkranks_server::ClientError::Server(msg)) => Ok(Reply::Error(msg)),
+            Err(e) => {
+                self.fail(i);
+                Err(ShardError::Transient(format!(
+                    "shard {i} ({}): {e}",
+                    self.shards[i].addr
+                )))
+            }
+        }
     }
 
     /// Scatter one query across the fleet and gather the exact merge.

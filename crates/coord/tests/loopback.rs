@@ -379,3 +379,160 @@ fn handshake_verifies_roles_and_misordered_fleets_are_refused() {
         shard.join();
     }
 }
+
+/// A scripted stand-in for a shard daemon: serves one connection,
+/// answering `hello` with the given identity and every query with an
+/// empty complete answer after `delay`, until the peer hangs up.
+fn stub_shard(
+    index: u32,
+    shards: u32,
+    delay: std::time::Duration,
+) -> (String, std::thread::JoinHandle<()>) {
+    use rkranks_server::{HelloReply, QueryReply, Reply, Request, ShardIdentity};
+    use std::io::{BufRead, BufReader, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().unwrap().to_string();
+    let thread = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("stub accept");
+        let mut writer = stream.try_clone().unwrap();
+        for line in BufReader::new(stream).lines() {
+            let Ok(line) = line else { return };
+            let reply = match Request::from_line(&line) {
+                Ok(Request::Hello) => Reply::Hello(HelloReply {
+                    v: rkranks_server::PROTOCOL_VERSION,
+                    role: "shard".into(),
+                    shard: Some(ShardIdentity {
+                        index,
+                        shards,
+                        seed: SHARD_SEED,
+                    }),
+                    ..HelloReply::default()
+                }),
+                Ok(Request::Query { .. }) => {
+                    std::thread::sleep(delay);
+                    Reply::Query(QueryReply {
+                        entries: Vec::new(),
+                        cached: false,
+                        epoch: 0,
+                        graph_epoch: 0,
+                        partial: false,
+                    })
+                }
+                _ => Reply::Error("stub shard: unsupported op".into()),
+            };
+            let mut out = reply.to_json().render();
+            out.push('\n');
+            if writer.write_all(out.as_bytes()).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, thread)
+}
+
+/// Per-shard latency is measured at each reply's arrival: a slow shard 0
+/// must not leak its delay into shard 1's reading, even though shard 0
+/// comes first in the fan-out.
+#[test]
+fn per_shard_latency_stops_at_each_replys_arrival() {
+    use rkranks_coord::{CoordMetrics, ShardPool};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    const DELAY: Duration = Duration::from_millis(300);
+    let (slow, slow_thread) = stub_shard(0, 2, DELAY);
+    let (fast, fast_thread) = stub_shard(1, 2, Duration::ZERO);
+    let metrics = Arc::new(CoordMetrics::new(2));
+    let mut pool = ShardPool::new(&CoordConfig::new(vec![slow, fast]), Arc::clone(&metrics));
+    for node in 0..3 {
+        match pool.scatter_query(node, K, true, None, None) {
+            rkranks_server::Reply::Query(q) => assert!(!q.partial),
+            other => panic!("stub fleet must answer, got {other:?}"),
+        }
+    }
+    drop(pool); // hang up, so both stubs finish
+    slow_thread.join().expect("slow stub");
+    fast_thread.join().expect("fast stub");
+
+    let ms = |shard: usize, q: f64| metrics.shard_seconds[shard].quantile(q) as f64 / 1e6;
+    assert_eq!(metrics.shard_seconds[1].count(), 3);
+    let delay_ms = DELAY.as_secs_f64() * 1e3;
+    assert!(
+        ms(0, 0.0) >= delay_ms * 0.9,
+        "the slow shard's own latency includes its delay: {:.1} ms",
+        ms(0, 0.0)
+    );
+    assert!(
+        ms(1, 1.0) < delay_ms / 2.0,
+        "the fast shard's latency must not include the slow shard's delay: {:.1} ms",
+        ms(1, 1.0)
+    );
+}
+
+/// The request path waits on readiness, never on a timer: 200 sequential
+/// cache hits through the coordinator take far less than 200 idle ticks.
+#[test]
+fn sequential_cache_hits_through_the_coordinator_do_not_stall() {
+    let g = collab_graph(&CollabParams::with_authors(300, 0xC0FFEE));
+    let fleet = spawn_fleet(&g, 1024, 0);
+    let coord =
+        spawn_coord("127.0.0.1:0", CoordConfig::new(shard_addrs(&fleet))).expect("bind coord");
+    let mut client = Client::connect(coord.addr()).expect("connect");
+    let warm = client.query(7, K).expect("warm-up query");
+    let started = std::time::Instant::now();
+    for _ in 0..200 {
+        let reply = client.query(7, K).expect("cache-hit query");
+        assert!(reply.cached, "repeat queries are cache hits on every shard");
+        assert_eq!(reply.entries, warm.entries);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "200 cache hits took {took:?}"
+    );
+
+    drop(client);
+    coord.stop();
+    coord.join();
+    for shard in fleet {
+        let c = Client::connect(shard.addr()).expect("connect shard");
+        c.shutdown().expect("shard shutdown");
+        shard.join();
+    }
+}
+
+/// A line of deeply nested brackets is a one-line `bad request`, and the
+/// coordinator keeps serving afterwards.
+#[test]
+fn deeply_nested_json_is_rejected_and_the_coordinator_survives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let g = test_graph();
+    let fleet = spawn_fleet(&g, 0, 1);
+    let coord =
+        spawn_coord("127.0.0.1:0", CoordConfig::new(shard_addrs(&fleet))).expect("bind coord");
+    let mut raw = std::net::TcpStream::connect(coord.addr()).expect("connect");
+    let mut line = "[".repeat(500_000);
+    line.push('\n');
+    raw.write_all(line.as_bytes()).expect("send nested line");
+    let mut reply = String::new();
+    BufReader::new(raw.try_clone().unwrap())
+        .read_line(&mut reply)
+        .expect("read reply");
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    assert!(reply.contains("bad request"), "{reply}");
+    assert!(reply.contains("nest"), "{reply}");
+
+    let mut client = Client::connect(coord.addr()).expect("connect after");
+    client.stats().expect("stats after the nested line");
+
+    drop(client);
+    coord.stop();
+    coord.join();
+    for shard in fleet {
+        let c = Client::connect(shard.addr()).expect("connect shard");
+        c.shutdown().expect("shard shutdown");
+        shard.join();
+    }
+}

@@ -57,11 +57,16 @@ pub struct EngineContext {
     transpose: OnceLock<Graph>,
     partition: Option<Partition>,
     /// Candidate-ownership restriction for sharded serving: when set,
-    /// only nodes this slice owns may be refined or returned — every
-    /// other node is treated as a conduit (expandable, still counted in
-    /// ranks, never a result). Shard-local answers are therefore exact
-    /// over the owned candidate set, which is what makes the
-    /// coordinator's scatter-gather merge rank-exact.
+    /// only nodes this slice owns may be returned. Under the dynamic and
+    /// indexed strategies a candidate another shard owns still gets its
+    /// bounds (and its subtree is pruned with it), and when it survives
+    /// them it is expanded and marked *deferred*: the first later pop
+    /// below it (with kRank finite) refines it, bounded by kRank, so its
+    /// rank can bound its descendants (Theorem 1). Such foreign ranks are
+    /// used for pruning only and never offered to `R`. The static
+    /// strategy treats foreign candidates as plain conduits. Shard-local
+    /// answers are therefore exact over the owned candidate set, which is
+    /// what makes the coordinator's scatter-gather merge rank-exact.
     shard: Option<ShardSlice>,
     /// Pluggable distance substrate for the hub strategies
     /// ([`BoundConfig::HUB`]): consulted during the SDS filter for a
@@ -476,16 +481,20 @@ impl EngineContext {
             eff_lb,
             lcount,
             in_result,
+            deferred,
         } = scratch;
         // Lemma 4 is proven for undirected monochromatic graphs only.
         let count_enabled =
             dynamic.is_some_and(|b| b.use_count) && !graph.is_directed() && !spec.is_bichromatic();
+        // Only sharded dynamic and indexed runs defer foreign candidates.
+        let defers = dynamic.is_some() && self.shard.is_some();
 
         pred.reset();
         depth2.reset();
         eff_lb.reset();
         lcount.reset();
         in_result.reset();
+        deferred.reset();
 
         // §5.3: seed R (and hence kRank) from the Reverse Rank Dictionary.
         // Seeds are filtered through the candidate/ownership gates so an
@@ -531,16 +540,36 @@ impl EngineContext {
             }
             let parent_lb = match pred.get(u.index()) {
                 p if p == u32::MAX || NodeId(p) == q => 0,
-                p => eff_lb.get(p as usize),
+                p => {
+                    let parent = NodeId(p);
+                    let k_rank = collector.k_rank();
+                    if defers && k_rank != u32::MAX && deferred.get(parent.index()) {
+                        refine_deferred(
+                            graph,
+                            spec,
+                            q,
+                            parent,
+                            k_rank,
+                            sds_ws,
+                            refine_ws,
+                            deferred,
+                            eff_lb,
+                            index.as_deref_mut(),
+                            &mut stats,
+                        );
+                    }
+                    eff_lb.get(parent.index())
+                }
             };
             let k_rank = collector.k_rank();
+            let owned = self.owns(u);
 
-            if !spec.is_candidate(u) || !self.owns(u) {
-                // Conduit node (bichromatic `V2`, or a candidate another
-                // shard owns): it cannot be a result here, but shortest
-                // paths run through it. Propagate the ancestor bound;
-                // prune the subtree when even the weakest candidate
-                // descendant bound meets kRank.
+            if !spec.is_candidate(u) || (!owned && dynamic.is_none()) {
+                // Conduit node (bichromatic `V2`, or under the static
+                // strategy a candidate another shard owns): it cannot be
+                // a result here, but shortest paths run through it.
+                // Propagate the ancestor bound; prune the subtree when
+                // even the weakest candidate descendant bound meets kRank.
                 eff_lb.set(u.index(), parent_lb);
                 let descendant_lb = if dynamic.is_some_and(|b| b.use_height) {
                     // any candidate below u has at least depth2(u) + [u
@@ -563,7 +592,7 @@ impl EngineContext {
                     stats.index_exact_hits += 1;
                     record(&mut trace, u, d, PopDecision::IndexHit { rank: r });
                     eff_lb.set(u.index(), r);
-                    if !in_result.get(u.index()) && collector.offer(u, r) {
+                    if owned && !in_result.get(u.index()) && collector.offer(u, r) {
                         in_result.set(u.index(), true);
                     }
                     if r <= collector.k_rank() {
@@ -599,10 +628,12 @@ impl EngineContext {
                     None => 0,
                 };
                 record_bound_win(&mut stats, parent_lb, height_b, count_b, check_b);
-                let lb = parent_lb.max(height_b).max(count_b).max(check_b).max(hub_b);
+                let base_lb = parent_lb.max(height_b).max(count_b).max(check_b);
+                let lb = base_lb.max(hub_b);
                 if lb >= k_rank {
                     stats.pruned_by_bound += 1;
-                    if hub_b >= k_rank {
+                    // Credit the oracle only for prunes it alone made.
+                    if base_lb < k_rank {
                         stats.pruned_by_oracle += 1;
                     }
                     record(
@@ -616,6 +647,16 @@ impl EngineContext {
                     );
                     eff_lb.set(u.index(), lb);
                     continue; // Theorem 1: the subtree is pruned with it
+                }
+                if !owned {
+                    // A candidate another shard owns survived its bounds:
+                    // expand it now and refine it only if a descendant
+                    // pops while kRank is finite (`refine_deferred`).
+                    eff_lb.set(u.index(), lb);
+                    deferred.set(u.index(), true);
+                    record(&mut trace, u, d, PopDecision::Deferred);
+                    expand(tgraph, spec, q, sds_ws, pred, depth2, &mut stats, u, d);
+                    continue;
                 }
             }
 
@@ -666,6 +707,47 @@ impl EngineContext {
     }
 }
 
+/// Refine `parent`, a deferred foreign candidate, at the first pop below
+/// it once kRank is finite, and raise its effective rank bound so
+/// Theorem 1 can prune through it. The refinement is bounded by
+/// `k_rank`, so an abort still yields `k_rank + 1`. The rank only ever
+/// serves as a bound: the node is never offered to `R`. The Lemma-4
+/// counters stay untouched, as this refinement runs out of SDS pop
+/// order. Kept out of line: unsharded queries never call it, and it must
+/// not grow the hot SDS loop.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn refine_deferred(
+    graph: &Graph,
+    spec: QuerySpec<'_>,
+    q: NodeId,
+    parent: NodeId,
+    k_rank: u32,
+    sds_ws: &DijkstraWorkspace,
+    refine_ws: &mut DijkstraWorkspace,
+    deferred: &mut Stamped<bool>,
+    eff_lb: &mut Stamped<u32>,
+    index: Option<&mut IndexAccess<'_>>,
+    stats: &mut QueryStats,
+) {
+    deferred.set(parent.index(), false);
+    let dpq = sds_ws.dist_of(parent).expect("a deferred node was settled");
+    let mut hooks = RefineHooks {
+        lcount: None,
+        index,
+    };
+    let refine_start = Instant::now();
+    let refined = refine_rank(
+        graph, spec, refine_ws, parent, q, dpq, k_rank, &mut hooks, stats,
+    );
+    stats.refine_time += refine_start.elapsed();
+    let rank_lb = match refined {
+        RefineOutcome::Exact(r) => r,
+        RefineOutcome::Pruned { lower_bound } => lower_bound,
+    };
+    eff_lb.update(parent.index(), |lb| lb.max(rank_lb));
+}
+
 fn check_k_max(k_max: u32, k: u32) -> Result<()> {
     if k > k_max {
         return Err(GraphError::InvalidQuery(format!(
@@ -698,6 +780,9 @@ pub struct QueryScratch {
     /// Marks nodes currently credited in `R` (prevents double offers when
     /// the index seeds the collector).
     pub(crate) in_result: Stamped<bool>,
+    /// Marks expanded candidates another shard owns whose rank has not
+    /// been refined yet (sharded dynamic and indexed strategies only).
+    pub(crate) deferred: Stamped<bool>,
 }
 
 impl QueryScratch {
@@ -712,6 +797,7 @@ impl QueryScratch {
             eff_lb: Stamped::new(n as usize, 0),
             lcount: Stamped::new(n as usize, 0),
             in_result: Stamped::new(n as usize, false),
+            deferred: Stamped::new(n as usize, false),
         }
     }
 
@@ -724,6 +810,7 @@ impl QueryScratch {
         self.eff_lb.ensure_capacity(n as usize);
         self.lcount.ensure_capacity(n as usize);
         self.in_result.ensure_capacity(n as usize);
+        self.deferred.ensure_capacity(n as usize);
     }
 }
 
@@ -1068,6 +1155,111 @@ mod tests {
             lookups += got.stats.oracle_lookups;
         }
         assert!(lookups > 0, "the hub strategy never consulted the oracle");
+    }
+
+    /// Replay a traced unsharded monochromatic query on an undirected
+    /// graph: rebuild the SDS tree from the pop order, recompute each
+    /// bound-pruned node's parent and height bounds and its oracle bound,
+    /// and count the prunes the oracle alone made.
+    fn exclusive_oracle_prunes(
+        g: &Graph,
+        oracle: &dyn DistanceOracle,
+        q: NodeId,
+        trace: &QueryTrace,
+    ) -> u64 {
+        let n = g.num_nodes() as usize;
+        let mut best = vec![f64::INFINITY; n];
+        let mut pred = vec![u32::MAX; n];
+        let mut depth2 = vec![0u32; n];
+        let mut eff_lb = vec![0u32; n];
+        let mut popped = vec![false; n];
+        let mut exclusive = 0;
+        for e in &trace.events {
+            let u = e.node.index();
+            popped[u] = true;
+            let parent_lb = match pred[u] {
+                p if p == u32::MAX || p == q.0 => 0,
+                p => eff_lb[p as usize],
+            };
+            let expands = match e.decision {
+                PopDecision::Root => true,
+                PopDecision::Refined { rank, .. } => {
+                    eff_lb[u] = rank;
+                    true
+                }
+                PopDecision::RefinementPruned { lower_bound } => {
+                    eff_lb[u] = lower_bound.max(parent_lb);
+                    false
+                }
+                PopDecision::BoundPruned {
+                    lower_bound,
+                    k_rank,
+                } => {
+                    eff_lb[u] = lower_bound;
+                    let base = parent_lb.max(depth2[u] + 1);
+                    let hub = 1 + oracle.count_within(e.node, e.distance, &mut |h| h != q);
+                    if base < k_rank && k_rank <= hub {
+                        exclusive += 1;
+                    }
+                    false
+                }
+                other => panic!("unexpected {other:?} in an unsharded monochromatic query"),
+            };
+            if expands {
+                let child_depth2 = depth2[u] + (e.node != q) as u32;
+                let (targets, weights) = g.out_neighbors(e.node);
+                for (t, w) in targets.iter().zip(weights) {
+                    let nd = e.distance + *w;
+                    if !popped[t.index()] && nd < best[t.index()] {
+                        best[t.index()] = nd;
+                        pred[t.index()] = e.node.0;
+                        depth2[t.index()] = child_depth2;
+                    }
+                }
+            }
+        }
+        exclusive
+    }
+
+    #[test]
+    fn pruned_by_oracle_counts_only_prunes_the_oracle_alone_made() {
+        use rkranks_graph::{HubLabels, HubOrder};
+        let g = graph_from_edges(
+            EdgeDirection::Undirected,
+            (0..40u32)
+                .map(|i| (i, (i + 1) % 40, 1.0 + f64::from(i % 5)))
+                .chain((0..20u32).map(|i| (i, i + 20, 2.0)))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let labels = Arc::new(HubLabels::build(&g, HubOrder::Degree, 0).0);
+        let ctx = EngineContext::new(&g).with_oracle(Arc::clone(&labels) as _);
+        // Lemma 4 off, so the replay can recompute every other bound from
+        // the trace alone.
+        let bounds = BoundConfig {
+            use_count: false,
+            ..BoundConfig::HUB
+        };
+        let mut scratch = ctx.new_scratch();
+        let (mut reported, mut recomputed, mut all_prunes) = (0, 0, 0);
+        for q in g.nodes() {
+            for k in [2, 4, 8] {
+                let req = QueryRequest::new(q, k)
+                    .with_strategy(Strategy::Dynamic(bounds))
+                    .with_trace();
+                let out = ctx.execute(&mut scratch, &req).unwrap();
+                let trace = out.trace.expect("trace was requested");
+                reported += out.result.stats.pruned_by_oracle;
+                all_prunes += out.result.stats.pruned_by_bound;
+                recomputed += exclusive_oracle_prunes(&g, labels.as_ref(), q, &trace);
+            }
+        }
+        assert_eq!(reported, recomputed);
+        assert!(reported > 0, "the oracle never pruned alone on this graph");
+        assert!(
+            reported < all_prunes,
+            "some prunes must have had another bound at kRank too"
+        );
     }
 
     #[test]

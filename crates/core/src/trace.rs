@@ -38,11 +38,17 @@ pub enum PopDecision {
         /// The stored exact rank.
         rank: u32,
     },
-    /// A bichromatic conduit node (not a candidate; only routes paths).
+    /// A conduit node: not a candidate here (bichromatic `V2`, or under
+    /// the static strategy a candidate another shard owns); it only
+    /// routes paths.
     Conduit {
         /// Whether its subtree was pruned.
         subtree_pruned: bool,
     },
+    /// A candidate another shard owns whose bounds did not prune it:
+    /// expanded, and rank-refined later only if a descendant needs its
+    /// bound. Never a result on this shard.
+    Deferred,
 }
 
 /// One trace event: a pop from the SDS queue and its outcome.
@@ -131,6 +137,7 @@ impl QueryTrace {
                     format!("bound-pruned (LB {lower_bound} >= kRank {k_rank})")
                 }
                 PopDecision::IndexHit { rank } => format!("index hit -> rank {rank}"),
+                PopDecision::Deferred => "foreign candidate (rank deferred)".to_string(),
                 PopDecision::Conduit { subtree_pruned } => {
                     format!(
                         "conduit{}",

@@ -3,9 +3,10 @@
 //! Reverse k-ranks answers are global shortest-path facts, so a shard
 //! cannot drop edges and stay exact: every shard serves the **full edge
 //! list** and instead owns a deterministic slice of the *candidate*
-//! space. Shard `i` of `n` refines (and may return) only the nodes this
-//! map assigns to it; every other node remains a conduit the SDS-tree
-//! Dijkstra still routes through. The union of per-shard top-k answers
+//! space. Shard `i` of `n` may return only the nodes this map assigns to
+//! it; the SDS-tree Dijkstra still routes through every other node, and
+//! refines one only to bound the subtree below it. The union of
+//! per-shard top-k answers
 //! then contains the global top-k rank multiset, which is what the
 //! coordinator merges (see `rkranks_coord`).
 //!

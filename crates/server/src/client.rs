@@ -171,6 +171,19 @@ impl Client {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
+    /// `true` when reply bytes already sit in the client's read buffer,
+    /// so the next [`Client::recv`] may complete without the socket
+    /// becoming readable again. Callers that wait on socket readiness
+    /// must check this first.
+    pub fn has_buffered(&self) -> bool {
+        !self.reader.buffer().is_empty()
+    }
+
+    /// The underlying socket, for readiness waits over several clients.
+    pub fn socket(&self) -> &TcpStream {
+        self.reader.get_ref()
+    }
+
     /// Send `req` without waiting for the reply — half of a pipelined
     /// exchange; pair each send with one [`Client::recv`] in order.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {

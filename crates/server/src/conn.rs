@@ -27,9 +27,9 @@ const CHUNK: usize = 4096;
 /// inbound and outbound buffers and flow-control state.
 pub struct Conn {
     /// The underlying stream. The server's event loops run it
-    /// non-blocking; the coordinator's per-connection handlers run it
-    /// blocking with a read timeout (a timed-out `read` surfaces as
-    /// `WouldBlock`, which [`Conn::fill`] treats as "nothing available").
+    /// non-blocking; the coordinator's per-connection handlers wait for
+    /// it to become readable, then switch it non-blocking for
+    /// [`Conn::fill`] and back to blocking to flush their replies.
     pub stream: TcpStream,
     /// Inbound bytes; `start..` is the unconsumed suffix.
     buf: Vec<u8>,

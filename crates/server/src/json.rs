@@ -9,6 +9,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The protocol
+/// needs at most 4 levels; the cap keeps the recursive-descent parser
+/// from exhausting a worker's stack on hostile input (one long line of
+/// `[` would otherwise abort the whole daemon).
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -113,6 +119,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -191,6 +198,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,11 +249,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(self.err(format!("unexpected character '{}'", b as char))),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -397,6 +421,25 @@ mod tests {
             assert_eq!(v.render(), text, "render diverged for {text}");
             assert_eq!(Json::parse(&v.render()).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, and the cap holds on unterminated input far
+        // past what a recursive parser's stack could survive.
+        let objects = format!("{}1", r#"{"a":"#.repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .message
+            .contains("nesting"));
+        assert!(Json::parse(&"[".repeat(500_000))
+            .unwrap_err()
+            .message
+            .contains("nesting"));
     }
 
     #[test]

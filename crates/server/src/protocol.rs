@@ -1143,6 +1143,18 @@ fn entries_from_json(v: &Json) -> Result<Vec<(u32, u32)>, String> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn deeply_nested_lines_are_one_line_errors() {
+        let line = format!("{{\"op\":\"batch\",\"nodes\":{}", "[".repeat(500_000));
+        let err = Request::from_line(&line).unwrap_err();
+        assert!(err.contains("nesting") && !err.contains('\n'), "{err}");
+        let err = Reply::from_line(&"[".repeat(500_000)).unwrap_err();
+        assert!(err.contains("nesting") && !err.contains('\n'), "{err}");
+        // The deepest legitimate shape still parses.
+        let batch = r#"{"ok":true,"results":[[[1,2]]],"cached":0,"epoch":1}"#;
+        assert!(matches!(Reply::from_line(batch), Ok(Reply::Batch(_))));
+    }
+
     fn round_trip_request(req: Request) {
         let line = req.to_json().render();
         assert_eq!(Request::from_line(&line).unwrap(), req, "line: {line}");

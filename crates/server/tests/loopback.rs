@@ -784,6 +784,57 @@ fn oversize_request_lines_are_rejected_and_close_the_connection() {
     }
 }
 
+/// One line of half a million `[` used to overflow a worker's stack and
+/// abort the daemon; it is now a one-line `bad request`, and the daemon
+/// keeps answering on the same and on new connections.
+#[test]
+fn deeply_nested_json_is_rejected_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let g = test_graph();
+    let n = g.num_nodes();
+    for event_loop in backends() {
+        let handle = spawn(
+            g.clone(),
+            None,
+            RkrIndex::empty(n, K_MAX),
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                event_loop,
+                ..Default::default()
+            },
+        )
+        .expect("bind loopback");
+        let stream = TcpStream::connect(handle.addr()).expect("connect raw");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut line = "[".repeat(500_000);
+        line.push('\n');
+        writer
+            .write_all(line.as_bytes())
+            .expect("write nested line");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read error line");
+        assert!(
+            reply.contains("\"ok\":false")
+                && reply.contains("bad request")
+                && reply.contains("nest"),
+            "{event_loop}: {reply}"
+        );
+        writer.write_all(b"{\"op\":\"stats\"}\n").expect("write");
+        reply.clear();
+        reader.read_line(&mut reply).expect("read stats");
+        assert!(reply.contains("\"ok\":true"), "{event_loop}: {reply}");
+
+        let mut ctl = Client::connect(handle.addr()).expect("connect ctl");
+        ctl.stats().expect("stats on a new connection");
+        ctl.shutdown().expect("shutdown");
+        handle.join();
+    }
+}
+
 /// Pipelining + write backpressure: with the high-water mark at the
 /// degenerate `0`, every reply pauses reads and the pause/resume cycle
 /// must still serve a one-burst pipeline completely and in order — and

@@ -816,6 +816,27 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Write `args` to stdout for `rkr ctl`. A reader that closed the pipe
+/// early (`rkr ctl ADDR stats | head -3`) ends the command quietly with
+/// exit status 0 instead of a broken-pipe panic.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn cmd_ctl(flags: &Flags) -> Result<(), String> {
     let addr = flags.positional.get(1).ok_or("ctl needs a HOST:PORT")?;
     let op = flags
@@ -828,59 +849,74 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
         "stats" => {
             if flags.has("json") {
                 let line = client.raw(&Request::Stats).map_err(|e| e.to_string())?;
-                println!("{line}");
+                outln!("{line}");
                 return Ok(());
             }
             let s = client.stats().map_err(|e| e.to_string())?;
-            println!("queries:        {}", s.queries);
-            println!(
+            outln!("queries:        {}", s.queries);
+            outln!(
                 "cache:          {} hits / {} misses ({} entries, capacity {}, ~{} bytes)",
-                s.cache_hits, s.cache_misses, s.cache_entries, s.cache_capacity, s.cache_bytes
+                s.cache_hits,
+                s.cache_misses,
+                s.cache_entries,
+                s.cache_capacity,
+                s.cache_bytes
             );
-            println!(
+            outln!(
                 "evictions:      {} lru, {} stale",
-                s.cache_evictions, s.cache_stale_evicted
+                s.cache_evictions,
+                s.cache_stale_evicted
             );
-            println!(
+            outln!(
                 "graph:          epoch {} ({} nodes, {} edges)",
-                s.graph_epoch, s.graph_nodes, s.graph_edges
+                s.graph_epoch,
+                s.graph_nodes,
+                s.graph_edges
             );
-            println!(
+            outln!(
                 "updates:        {} applied over {} commits",
-                s.updates_applied, s.graph_commits
+                s.updates_applied,
+                s.graph_commits
             );
-            println!("index epoch:    {}", s.epoch);
-            println!(
+            outln!("index epoch:    {}", s.epoch);
+            outln!(
                 "merges:         {} ({} deltas folded)",
-                s.merges, s.deltas_merged
+                s.merges,
+                s.deltas_merged
             );
-            println!(
+            outln!(
                 "hub labels:     {} entries (~{} bytes)",
-                s.hub_label_entries, s.hub_label_bytes
+                s.hub_label_entries,
+                s.hub_label_bytes
             );
-            println!(
+            outln!(
                 "oracle:         {} lookups, {} candidates pruned",
-                s.oracle_lookups, s.oracle_pruned
+                s.oracle_lookups,
+                s.oracle_pruned
             );
-            println!("workers:        {}", s.workers);
-            println!(
+            outln!("workers:        {}", s.workers);
+            outln!(
                 "event loop:     {} wakeups, {} batches / {} batched queries",
-                s.wakeups, s.batches, s.batch_queries
+                s.wakeups,
+                s.batches,
+                s.batch_queries
             );
-            println!(
+            outln!(
                 "flow control:   {} backpressure pauses, {} oversize lines, {} accept errors",
-                s.backpressure_pauses, s.oversize_lines, s.accept_errors
+                s.backpressure_pauses,
+                s.oversize_lines,
+                s.accept_errors
             );
         }
         "metrics" => {
             if flags.has("json") {
                 let line = client.raw(&Request::Metrics).map_err(|e| e.to_string())?;
-                println!("{line}");
+                outln!("{line}");
                 return Ok(());
             }
             let snap = client.metrics().map_err(|e| e.to_string())?;
             if flags.has("prom") {
-                print!("{}", render_prometheus(&snap));
+                emit(format_args!("{}", render_prometheus(&snap)));
             } else {
                 print_metrics_table(&snap);
             }
@@ -890,17 +926,17 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
                 let line = client
                     .raw(&Request::SlowQueries)
                     .map_err(|e| e.to_string())?;
-                println!("{line}");
+                outln!("{line}");
                 return Ok(());
             }
             let records = client.slow_queries().map_err(|e| e.to_string())?;
             if records.is_empty() {
-                println!("no slow queries captured (is the daemon running with --slow-query-ms?)");
+                outln!("no slow queries captured (is the daemon running with --slow-query-ms?)");
                 return Ok(());
             }
-            println!("{} slow quer(ies), oldest first:", records.len());
+            outln!("{} slow quer(ies), oldest first:", records.len());
             for r in &records {
-                println!(
+                outln!(
                     "  node {:>8} k {:>4}  {:<14} {:>9.3}ms (filter {:.3}ms, refine {:.3}ms) \
                      {}{} epoch {}/{}",
                     r.node,
@@ -918,15 +954,15 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
         }
         "flush" => {
             let (epoch, merged) = client.flush().map_err(|e| e.to_string())?;
-            println!("flushed {merged} deltas (index epoch {epoch})");
+            outln!("flushed {merged} deltas (index epoch {epoch})");
         }
         "checkpoint" => {
             let (epoch, graph_epoch) = client.checkpoint().map_err(|e| e.to_string())?;
-            println!("checkpointed (index epoch {epoch}, graph epoch {graph_epoch})");
+            outln!("checkpointed (index epoch {epoch}, graph epoch {graph_epoch})");
         }
         "shutdown" => {
             client.shutdown().map_err(|e| e.to_string())?;
-            println!("rkrd at {addr} shut down");
+            outln!("rkrd at {addr} shut down");
         }
         op => {
             // single-op update path: stage it, then flush so the effect
@@ -935,9 +971,11 @@ fn cmd_ctl(flags: &Flags) -> Result<(), String> {
             client.update(&[update]).map_err(|e| e.to_string())?;
             client.flush().map_err(|e| e.to_string())?;
             let stats = client.stats().map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "applied {op} (graph epoch {}, {} nodes / {} edges)",
-                stats.graph_epoch, stats.graph_nodes, stats.graph_edges
+                stats.graph_epoch,
+                stats.graph_nodes,
+                stats.graph_edges
             );
         }
     }
@@ -959,7 +997,7 @@ fn print_metrics_table(snap: &MetricsSnapshot) {
         };
         match &s.value {
             MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                println!("{}{labels}  {v}", s.name);
+                outln!("{}{labels}  {v}", s.name);
             }
             MetricValue::Histogram(h) => {
                 if h.count == 0 {
@@ -975,7 +1013,7 @@ fn print_metrics_table(snap: &MetricsSnapshot) {
                         format!("{:.3}ms", v * 1e3)
                     }
                 };
-                println!(
+                outln!(
                     "{}{labels}  count {}  mean {}  p50 {}  p95 {}  p99 {}",
                     s.name,
                     h.count,
